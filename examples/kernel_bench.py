@@ -2,9 +2,11 @@
 """Kernel shoot-out: the same simulation under both stepping engines.
 
 Runs the `wc` streaming kernel on the bus-heavy EXISTING design point and
-the bus-light HEAVYWT point under the `reference` kernel (the seed-era
-min-timestamp loop) and the `event` kernel (wakeup heap + indexed bus
-calendar), then prints host time, simulated cycles/sec, and the speedup.
+the bus-light HEAVYWT point under the `event` product kernel (wakeup heap +
+indexed bus calendar, the default everywhere) and the `reference` oracle
+(the seed-era min-timestamp loop), then prints host time, simulated
+cycles/sec, and the speedup.  The kernel is chosen through each run's
+``MachineConfig``: nothing above ``Machine`` takes a kernel argument.
 
 The punchline is the assertion at the end: both kernels produce the same
 fingerprint — the event kernel is faster, never different.  For the full
@@ -13,6 +15,7 @@ tracked perf record, use ``python -m repro bench``.
 
 import argparse
 
+from repro.core.design_points import get_design_point
 from repro.harness.runner import run_benchmark
 from repro.sim.kernel import KERNEL_NAMES
 
@@ -30,7 +33,8 @@ def main() -> None:
     for point in args.points:
         results = {}
         for kernel in KERNEL_NAMES:
-            res = run_benchmark("wc", point, args.trips, kernel=kernel)
+            config = get_design_point(point).build_config().copy(kernel=kernel)
+            res = run_benchmark("wc", point, args.trips, config=config)
             results[kernel] = res
             print(
                 f"{point:<12} {kernel:<10} {res.stats.host_seconds:>8.3f} "

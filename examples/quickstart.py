@@ -7,7 +7,7 @@ and on the paper's proposed light-weight design (SYNCOPTI + stream cache +
 Q64), and prints the speedup and per-thread breakdowns.
 """
 
-from repro import baseline_config, build_pipelined, get_design_point
+from repro import build_pipelined, get_design_point
 from repro.sim.machine import Machine
 
 

@@ -112,20 +112,12 @@ from repro.store import (
     run_worker,
 )
 from repro.sim.config import MachineConfig, baseline_config
-from repro.sim.cosim import (
+from repro.sim.forensics import PostMortem
+from repro.sim.kernel import (
     DeadlockError,
     SimulationError,
     SimulationLimitError,
     WallClockExceededError,
-)
-from repro.sim.forensics import PostMortem
-from repro.sim.kernel import (
-    KERNEL_NAMES,
-    EventKernel,
-    ReferenceKernel,
-    SimKernel,
-    available_kernels,
-    create_kernel,
 )
 from repro.sim.machine import Machine, run_program
 from repro.sim.program import Program, ThreadProgram
@@ -163,8 +155,6 @@ __all__ = [
     "BENCHMARK_ORDER",
     "COMM_OP_POINTS",
     "DESIGN_POINTS",
-    "EventKernel",
-    "KERNEL_NAMES",
     "OVERRIDE_KNOBS",
     "CampaignCell",
     "CampaignLedger",
@@ -188,12 +178,10 @@ __all__ = [
     "PreemptedRun",
     "PreemptionRequested",
     "Program",
-    "ReferenceKernel",
     "ResultStore",
     "RunOutcome",
     "RunResult",
     "RunStats",
-    "SimKernel",
     "SimulationError",
     "SimulationLimitError",
     "SnapshotCorruptError",
@@ -209,7 +197,6 @@ __all__ = [
     "WallClockExceededError",
     "WorkQueue",
     "apply_overrides",
-    "available_kernels",
     "available_mechanisms",
     "baseline_config",
     "campaign_status",
@@ -223,7 +210,6 @@ __all__ = [
     "cell_digest",
     "check_bus_utilization",
     "check_occupancy",
-    "create_kernel",
     "create_mechanism",
     "dispatch_cells",
     "execute_cell",

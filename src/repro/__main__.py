@@ -6,8 +6,7 @@ Examples::
     python -m repro run figure7 --scale 0.25
     python -m repro run table1 pipeline_scaling
     python -m repro run all --scale 0.1 --jobs 4
-    python -m repro run figure7 --kernel event     # same figures, faster host
-    python -m repro bench --quick --check          # kernel perf trajectory
+    python -m repro bench --quick --check          # event vs reference oracle
 
     python -m repro campaign run --grid figure7 --ledger fig7.jsonl --jobs 4
     python -m repro campaign status --ledger fig7.jsonl
@@ -29,6 +28,11 @@ Examples::
 
     python -m repro store stats --store ./store
     python -m repro serve --store ./store --port 8763 --jobs 4
+
+Every command simulates with the ``event`` product kernel; no command takes
+a kernel flag.  The ``reference`` kernel is the oracle the event kernel is
+differentially tested against: ``bench`` runs both and checks that their
+fingerprints agree.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import sys
 from typing import List, Optional
 
 from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.sim.kernel import KERNEL_NAMES
 
 #: Named campaign grids ``campaign run`` can build.  ``resume`` rebuilds the
 #: same grid (cells never started leave no spec in the ledger, so the grid
@@ -55,7 +58,7 @@ def _first_doc_line(fn) -> str:
     return ""
 
 
-def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
+def _campaign_grid(name: str, scale: float):
     """Build the named grid's campaign cells."""
     from repro.core.design_points import FIGURE7_ORDER, FIGURE12_ORDER
     from repro.harness.campaign import CampaignCell
@@ -68,25 +71,19 @@ def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
 
     if name == "figure7":
         return [
-            CampaignCell(
-                benchmark=b, design_point=p, trip_count=trips(b), kernel=kernel
-            )
+            CampaignCell(benchmark=b, design_point=p, trip_count=trips(b))
             for b in BENCHMARK_ORDER
             for p in FIGURE7_ORDER
         ]
     if name == "figure12":
         return [
-            CampaignCell(
-                benchmark=b, design_point=p, trip_count=trips(b), kernel=kernel
-            )
+            CampaignCell(benchmark=b, design_point=p, trip_count=trips(b))
             for b in BENCHMARK_ORDER
             for p in FIGURE12_ORDER
         ]
     if name == "pipeline":
         cells = [
-            CampaignCell(
-                benchmark=b, kind="single", trip_count=trips(b), kernel=kernel
-            )
+            CampaignCell(benchmark=b, kind="single", trip_count=trips(b))
             for b in PIPELINE_BENCHMARKS
         ]
         cells += [
@@ -96,7 +93,6 @@ def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
                 kind="pipeline",
                 stages=k,
                 trip_count=trips(b),
-                kernel=kernel,
             )
             for b in PIPELINE_BENCHMARKS
             for k in (2, 4)
@@ -105,12 +101,7 @@ def _campaign_grid(name: str, scale: float, kernel: str = "reference"):
         return cells
     if name == "smoke":
         return [
-            CampaignCell(
-                benchmark=b,
-                design_point=p,
-                trip_count=max(32, int(64 * scale)),
-                kernel=kernel,
-            )
+            CampaignCell(benchmark=b, design_point=p, trip_count=max(32, int(64 * scale)))
             for b in ("wc", "fir")
             for p in FIGURE7_ORDER
         ]
@@ -151,15 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "worker processes for each experiment's grid (1 = serial "
             "in-process, the default)"
-        ),
-    )
-    run.add_argument(
-        "--kernel",
-        default="reference",
-        choices=KERNEL_NAMES,
-        help=(
-            "simulation stepping kernel; bit-identical figures either way, "
-            "'event' is the fast path (default: reference)"
         ),
     )
 
@@ -234,16 +216,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help=(
                 "directory for per-cell snapshot files "
                 "(default: <ledger>.ckpt next to the ledger)"
-            ),
-        )
-        p.add_argument(
-            "--kernel",
-            default="reference",
-            choices=KERNEL_NAMES,
-            help=(
-                "simulation stepping kernel for every cell; part of the "
-                "cell key, so a resume must use the same kernel as the run "
-                "it resumes (default: reference)"
             ),
         )
         p.add_argument(
@@ -512,7 +484,7 @@ def _campaign_main(parser: argparse.ArgumentParser, args) -> int:
         from repro.obs import runtime as _obs_runtime
 
         _obs_runtime.configure(log_path=args.obs_log)
-    cells = _campaign_grid(args.grid, args.scale, kernel=args.kernel)
+    cells = _campaign_grid(args.grid, args.scale)
 
     if args.workers_external:
         import os
@@ -762,11 +734,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     failed = 0
     for name in names:
         fn = ALL_EXPERIMENTS[name]
-        result = (
-            fn()
-            if name.startswith("table")
-            else fn(args.scale, jobs=args.jobs, kernel=args.kernel)
-        )
+        result = fn() if name.startswith("table") else fn(args.scale, jobs=args.jobs)
         print(result.text)
         print()
         failed += len(result.failures)

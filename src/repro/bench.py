@@ -1,11 +1,13 @@
 """``repro.bench`` — the tracked perf trajectory of the simulator itself.
 
 Every other module in this repository measures *simulated* time; this one
-measures *host* time: how many simulated cycles per host second each
-registered stepping kernel (:mod:`repro.sim.kernel`) achieves across the
-Figure-9 sweep (every Figure-7 design point plus the single-threaded
-baseline), and how many campaign cells per minute the harness sustains
-under each kernel.
+measures *host* time: how many simulated cycles per host second the
+``event`` product kernel and the ``reference`` oracle (:mod:`repro.sim.kernel`)
+achieve across the Figure-9 sweep (every Figure-7 design point plus the
+single-threaded baseline), and how many campaign cells per minute the
+harness sustains on the product path.  The oracle is selected through each
+run's ``config``; nothing above :class:`~repro.sim.machine.Machine` takes a
+kernel argument.
 
 The run doubles as a differential test: every (benchmark, design point)
 cell is executed once per kernel and the fingerprints must agree — a
@@ -45,7 +47,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.sim.stats import geomean
 
@@ -79,12 +81,8 @@ CAMPAIGN_BENCHMARKS = ("wc", "fir")
 CAMPAIGN_TRIPS = 96
 
 
-def bench_grid(
-    kernels: Sequence[str],
-    trips: int,
-    benchmark: str = BENCH_BENCHMARK,
-) -> List[Dict[str, object]]:
-    """Run ``benchmark`` on every design point under every kernel.
+def bench_grid(trips: int, benchmark: str = BENCH_BENCHMARK) -> List[Dict[str, object]]:
+    """Run ``benchmark`` on every design point under every registered kernel.
 
     Returns one row per (kernel, design point) with ``cycles``,
     ``host_seconds``, ``simulated_cycles_per_sec`` and ``fingerprint`` —
@@ -92,15 +90,19 @@ def bench_grid(
     baseline.  Rows are measurement records; cross-kernel checks live in
     :func:`check_rows`.
     """
-    from repro.core.design_points import FIGURE7_ORDER
+    from repro.core.design_points import FIGURE7_ORDER, get_design_point
     from repro.harness.runner import run_benchmark, run_single_threaded
+    from repro.sim.kernel import KERNEL_NAMES
+
+    def config(point: str, kernel: str):
+        return get_design_point(point).build_config().copy(kernel=kernel)
 
     rows: List[Dict[str, object]] = []
-    for kernel in kernels:
+    for kernel in KERNEL_NAMES:
         for point in FIGURE7_ORDER:
-            res = run_benchmark(benchmark, point, trips, kernel=kernel)
+            res = run_benchmark(benchmark, point, trips, config=config(point, kernel))
             rows.append(_row(kernel, benchmark, point, res))
-        res = run_single_threaded(benchmark, trips, kernel=kernel)
+        res = run_single_threaded(benchmark, trips, config=config("HEAVYWT", kernel))
         rows.append(_row(kernel, benchmark, "SINGLE", res))
     return rows
 
@@ -117,37 +119,35 @@ def _row(kernel: str, benchmark: str, point: str, res) -> Dict[str, object]:
     }
 
 
-def bench_campaign(kernels: Sequence[str], trips: int = CAMPAIGN_TRIPS):
-    """Campaign throughput per kernel: serial ``run_cells`` over the smoke
-    grid, reported as cells per minute."""
+def _smoke_cells(trips: int):
     from repro.core.design_points import FIGURE7_ORDER
-    from repro.harness.campaign import CampaignCell, run_cells
+    from repro.harness.campaign import CampaignCell
 
-    out: Dict[str, Dict[str, object]] = {}
-    for kernel in kernels:
-        cells = [
-            CampaignCell(
-                benchmark=b, design_point=p, trip_count=trips, kernel=kernel
-            )
-            for b in CAMPAIGN_BENCHMARKS
-            for p in FIGURE7_ORDER
-        ]
-        started = time.perf_counter()
-        outcomes = run_cells(cells)
-        elapsed = time.perf_counter() - started
-        n_ok = sum(1 for o in outcomes.values() if o.ok)
-        out[kernel] = {
-            "cells": len(cells),
-            "ok": n_ok,
-            "seconds": round(elapsed, 3),
-            "cells_per_min": round(len(cells) * 60.0 / elapsed, 1),
-        }
-    return out
+    return [
+        CampaignCell(benchmark=b, design_point=p, trip_count=trips)
+        for b in CAMPAIGN_BENCHMARKS
+        for p in FIGURE7_ORDER
+    ]
 
 
-def bench_store(
-    kernel: str = "reference", trips: int = CAMPAIGN_TRIPS
-) -> Dict[str, object]:
+def bench_campaign(trips: int = CAMPAIGN_TRIPS) -> Dict[str, object]:
+    """Campaign throughput on the product path: serial ``run_cells`` over
+    the smoke grid, reported as cells per minute."""
+    from repro.harness.campaign import run_cells
+
+    cells = _smoke_cells(trips)
+    started = time.perf_counter()
+    outcomes = run_cells(cells)
+    elapsed = time.perf_counter() - started
+    return {
+        "cells": len(cells),
+        "ok": sum(1 for o in outcomes.values() if o.ok),
+        "seconds": round(elapsed, 3),
+        "cells_per_min": round(len(cells) * 60.0 / elapsed, 1),
+    }
+
+
+def bench_store(trips: int = CAMPAIGN_TRIPS) -> Dict[str, object]:
     """Cold-vs-warm store campaign: the memoization contract as a number.
 
     Runs the smoke-shaped grid against a fresh result store (cold — every
@@ -160,15 +160,10 @@ def bench_store(
     import shutil
     import tempfile
 
-    from repro.core.design_points import FIGURE7_ORDER
-    from repro.harness.campaign import CampaignCell, run_campaign
+    from repro.harness.campaign import run_campaign
     from repro.store.store import ResultStore
 
-    cells = [
-        CampaignCell(benchmark=b, design_point=p, trip_count=trips, kernel=kernel)
-        for b in CAMPAIGN_BENCHMARKS
-        for p in FIGURE7_ORDER
-    ]
+    cells = _smoke_cells(trips)
     root = tempfile.mkdtemp(prefix="repro-bench-store-")
     try:
         store = ResultStore(root)
@@ -188,7 +183,6 @@ def bench_store(
     finally:
         shutil.rmtree(root, ignore_errors=True)
     return {
-        "kernel": kernel,
         "cells": len(cells),
         "cold_seconds": round(cold_s, 3),
         "warm_seconds": round(warm_s, 3),
@@ -300,23 +294,18 @@ def compare_baseline(
     }
 
 
-def run_bench(
-    quick: bool = False,
-    kernels: Optional[Sequence[str]] = None,
-    with_campaign: bool = True,
-) -> Dict[str, object]:
+def run_bench(quick: bool = False, with_campaign: bool = True) -> Dict[str, object]:
     """Execute the full benchmark and return the ``BENCH_ID`` payload."""
     from repro.sim.kernel import KERNEL_NAMES
 
-    kernels = list(kernels) if kernels is not None else list(KERNEL_NAMES)
     trips = QUICK_TRIPS if quick else FULL_TRIPS
-    rows = bench_grid(kernels, trips)
+    rows = bench_grid(trips)
     payload: Dict[str, object] = {
         "bench_id": BENCH_ID,
         "quick": quick,
         "benchmark": BENCH_BENCHMARK,
         "trips": trips,
-        "kernels": kernels,
+        "kernels": list(KERNEL_NAMES),
         "rows": rows,
         "checks": check_rows(rows),
     }
@@ -324,9 +313,7 @@ def run_bench(
     if baseline is not None:
         payload["baseline"] = baseline
     if with_campaign:
-        payload["campaign"] = bench_campaign(
-            kernels, trips=max(32, trips // 8)
-        )
+        payload["campaign"] = bench_campaign(trips=max(32, trips // 8))
         payload["store"] = bench_store(trips=max(32, trips // 8))
     return payload
 
@@ -358,9 +345,10 @@ def render(payload: Dict[str, object]) -> str:
             f"event vs reference: {pairs} "
             f"(geomean {checks['event_speedup_geomean']}x)"
         )
-    for kernel, camp in payload.get("campaign", {}).items():
+    camp = payload.get("campaign")
+    if camp:
         lines.append(
-            f"campaign [{kernel}]: {camp['ok']}/{camp['cells']} cells in "
+            f"campaign: {camp['ok']}/{camp['cells']} cells in "
             f"{camp['seconds']}s = {camp['cells_per_min']} cells/min"
         )
     store = payload.get("store")

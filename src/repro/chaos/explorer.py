@@ -154,7 +154,8 @@ class Violation:
 
 @dataclass
 class TrialTiming:
-    """Wall-clock cost of one crash trial (setup + run + check)."""
+    """Wall-clock cost of one crash trial: ``seconds`` for setup + run +
+    check, ``cleanup`` for removing the trial's world afterwards."""
 
     op: str
     site: int
@@ -162,6 +163,11 @@ class TrialTiming:
     site_path: str
     mode: str
     seconds: float
+    cleanup: float = 0.0
+
+    @property
+    def total(self) -> float:
+        return self.seconds + self.cleanup
 
     def render(self) -> str:
         where = (
@@ -173,7 +179,10 @@ class TrialTiming:
                 f"mode={self.mode})"
             )
         )
-        return f"{self.seconds:8.3f}s  [{self.op}] {where}"
+        return (
+            f"{self.total:8.3f}s ({self.cleanup:.3f}s cleanup)  "
+            f"[{self.op}] {where}"
+        )
 
 
 @dataclass
@@ -193,7 +202,7 @@ class OperationReport:
 
     @property
     def trial_seconds(self) -> float:
-        return sum(t.seconds for t in self.timings)
+        return sum(t.total for t in self.timings)
 
 
 @dataclass
@@ -214,7 +223,7 @@ class ExplorationReport:
     def slowest(self, n: int = 5) -> List[TrialTiming]:
         """The ``n`` most expensive crash-point trials, slowest first."""
         timings = [t for op in self.operations for t in op.timings]
-        return sorted(timings, key=lambda t: -t.seconds)[:n]
+        return sorted(timings, key=lambda t: -t.total)[:n]
 
     def render(self) -> str:
         lines = []
@@ -233,7 +242,10 @@ class ExplorationReport:
             for timing in slowest:
                 lines.append(f"  {timing.render()}")
         verdict = "DRILL PASSED" if self.ok else "DRILL FAILED"
-        lines.append(f"{verdict} ({self.elapsed:.1f}s)")
+        in_trials = sum(op.trial_seconds for op in self.operations)
+        lines.append(
+            f"{verdict} ({self.elapsed:.1f}s elapsed, {in_trials:.1f}s in trials)"
+        )
         return "\n".join(lines)
 
 
@@ -349,6 +361,8 @@ def explore(
                                 message=message,
                             )
                         )
+                    checked = time.monotonic()
+                    shutil.rmtree(trial_root, ignore_errors=True)
                     op_report.timings.append(
                         TrialTiming(
                             op=op.name,
@@ -356,10 +370,10 @@ def explore(
                             site_op=site.op,
                             site_path=site.path,
                             mode=mode,
-                            seconds=time.monotonic() - trial_started,
+                            seconds=checked - trial_started,
+                            cleanup=time.monotonic() - checked,
                         )
                     )
-                    shutil.rmtree(trial_root, ignore_errors=True)
             status = "ok" if op_report.ok else "FAILED"
             note(
                 f"{op.name}: {op_report.trials} trials, "

@@ -68,11 +68,16 @@ def tarjan_scc(graph: DiGraph) -> List[List[Node]]:
     components: List[List[Node]] = []
     counter = 0
 
+    def successors(node: Node):
+        # Sorted, as in topological_order: a set's iteration order follows
+        # PYTHONHASHSEED, and so would the components and the partition.
+        return iter(sorted(graph.successors(node), key=repr))
+
     for root in graph.nodes:
         if root in index_of:
             continue
         # Each work item is (node, iterator over successors).
-        work = [(root, iter(graph.successors(root)))]
+        work = [(root, successors(root))]
         index_of[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -86,7 +91,7 @@ def tarjan_scc(graph: DiGraph) -> List[List[Node]]:
                     counter += 1
                     stack.append(succ)
                     on_stack.add(succ)
-                    work.append((succ, iter(graph.successors(succ))))
+                    work.append((succ, successors(succ)))
                     advanced = True
                     break
                 if succ in on_stack:

@@ -20,7 +20,7 @@ retryable, durably-recorded unit of work*:
 
 * **Watchdog**: every attempt gets a wall-clock budget, enforced twice.
   The *soft* layer runs inside the worker — the scheduler's own
-  :class:`~repro.sim.cosim.WallClockExceededError` check — so a timed-out
+  :class:`~repro.sim.kernel.WallClockExceededError` check — so a timed-out
   run still flushes its post-mortem and trace tail into a structured
   :class:`~repro.harness.runner.TimedOutRun`.  The *hard* layer runs in the
   pool: a worker that outlives budget + grace (wedged outside the scheduler
@@ -73,7 +73,6 @@ import random
 import signal
 import time
 import traceback
-import warnings
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -99,7 +98,7 @@ from repro.sim.checkpoint import (
     recover_snapshot,
     resume_run,
 )
-from repro.sim.cosim import SimulationError, WallClockExceededError
+from repro.sim.kernel import SimulationError, WallClockExceededError
 from repro.sim.machine import Machine
 from repro.sim.program import Program
 from repro.sim.stats import RunStats
@@ -126,13 +125,14 @@ __all__ = [
 LEDGER_DETAIL_LIMIT = 8000
 
 #: Schema version of ledger records *and* of the cell-spec dialect inside
-#: them.  v1 (implicit, pre-kernel) specs had no ``kernel`` field; v2 specs
-#: always carry one.  ``campaign-start`` and ``cell-start`` records stamp
-#: this version on write, and :meth:`CampaignCell.from_spec` warns (once
-#: per process) when upgrading a legacy record — the content-addressed
-#: result store hashes this version into every digest, so two dialects of
-#: "the same" spec can never alias one store entry.
-LEDGER_SCHEMA_VERSION = 2
+#: them.  v1 (implicit) specs had no ``kernel`` field, v2 specs always
+#: carried one, and v3 specs drop it again: kernels are bit-identical, so
+#: the kernel is not part of a cell's identity.  :meth:`CampaignCell.from_spec`
+#: decodes all three by ignoring any ``kernel`` key.  ``campaign-start`` and
+#: ``cell-start`` records stamp this version on write, and the
+#: content-addressed result store hashes it into every digest, so two
+#: dialects of "the same" spec can never alias one store entry.
+LEDGER_SCHEMA_VERSION = 3
 
 #: Cell kinds the worker-side executor understands.
 CELL_KINDS = ("benchmark", "single", "pipeline")
@@ -141,11 +141,6 @@ CELL_KINDS = ("benchmark", "single", "pipeline")
 # ----------------------------------------------------------------------
 # Cells
 # ----------------------------------------------------------------------
-
-
-#: One-shot latch for the legacy-spec upgrade warning (warn once per
-#: process, not once per record — an old ledger has hundreds).
-_warned_legacy_spec = False
 
 
 def _fault_plan_spec(plan: Optional[FaultPlan]) -> Optional[Dict[str, object]]:
@@ -216,12 +211,12 @@ class CampaignCell:
     fault_plan: Optional[FaultPlan] = field(default=None, repr=False)
     #: Pipeline depth for ``kind="pipeline"`` cells.
     stages: Optional[int] = None
-    #: Simulation kernel the cell runs under (:mod:`repro.sim.kernel`).
-    #: Part of the spec — and therefore the key — even though kernels are
-    #: fingerprint-identical: the ledger must record *how* a result was
-    #: produced for the perf trajectory, and a recheck across kernels is
-    #: exactly the differential test the campaign layer gets for free.
-    kernel: str = "reference"
+    #: Simulation kernel the cell runs under (:mod:`repro.sim.kernel`):
+    #: the ``event`` product kernel unless a differential check picks the
+    #: ``reference`` oracle.  Not part of the spec — kernels are
+    #: fingerprint-identical, so a result computed under either one is the
+    #: same cell's result (same :meth:`key`, same store digest).
+    kernel: str = "event"
 
     def validate(self) -> "CampaignCell":
         if self.kind not in CELL_KINDS:
@@ -249,13 +244,25 @@ class CampaignCell:
             "overrides": dict(sorted(self.overrides.items())),
             "fault_plan": _fault_plan_spec(self.fault_plan),
             "stages": self.stages,
-            "kernel": self.kernel,
         }
 
     def key(self) -> str:
         """Stable human-scannable id: ``bench/point[...]#spec-digest``."""
+        return self._key_of(self.spec())
+
+    def legacy_keys(self) -> List[str]:
+        """The keys schema-v2 ledgers recorded for this cell, one per kernel.
+
+        v2 specs carried the kernel, so it fed the key's digest; resume
+        accepts records under these keys as this cell's history.
+        """
+        from repro.sim.kernel import available_kernels
+
+        return [self._key_of(dict(self.spec(), kernel=k)) for k in available_kernels()]
+
+    def _key_of(self, spec: Dict[str, object]) -> str:
         digest = hashlib.sha256(
-            json.dumps(self.spec(), sort_keys=True, separators=(",", ":")).encode()
+            json.dumps(spec, sort_keys=True, separators=(",", ":")).encode()
         ).hexdigest()[:8]
         label = f"{self.benchmark}/{self.design_point}"
         if self.kind == "single":
@@ -266,25 +273,11 @@ class CampaignCell:
 
     @classmethod
     def from_spec(cls, spec: Dict[str, object]) -> "CampaignCell":
-        """Rebuild a cell from a ledger ``spec`` record.
+        """Rebuild a cell from a ledger, queue or store ``spec`` record.
 
-        Legacy (schema v1, pre-kernel) records carry no ``kernel`` field;
-        they upgrade to an explicit ``kernel="reference"`` — the only
-        kernel that existed when they were written — with a one-time
-        :class:`UserWarning`, so a resume against an old ledger announces
-        the dialect upgrade instead of silently defaulting.
+        Decodes every schema version: a ``kernel`` key (schema v2) is
+        ignored, so the cell runs under the product kernel.
         """
-        global _warned_legacy_spec
-        if "kernel" not in spec and not _warned_legacy_spec:
-            _warned_legacy_spec = True
-            warnings.warn(
-                "ledger spec predates the kernel field (schema v1); "
-                "upgrading to kernel='reference' — the only kernel that "
-                f"existed then.  Current ledgers are schema "
-                f"v{LEDGER_SCHEMA_VERSION}.",
-                UserWarning,
-                stacklevel=2,
-            )
         return cls(
             benchmark=spec["benchmark"],
             design_point=spec["design_point"],
@@ -293,7 +286,6 @@ class CampaignCell:
             overrides=dict(spec.get("overrides") or {}),
             fault_plan=fault_plan_from_spec(spec.get("fault_plan")),
             stages=spec.get("stages"),
-            kernel=spec.get("kernel", "reference"),  # pre-kernel ledgers
         ).validate()
 
 
@@ -835,25 +827,13 @@ class CampaignLedger:
         A torn line is either the crash tail (process died mid-append) or
         an interior fragment left by an append that hit a partial write
         (``ENOSPC``) and was retried — the retry re-wrote the full record on
-        its own line, so skipping the fragment loses nothing.
+        its own line, so skipping the fragment loses nothing.  See
+        :func:`repro.store.io.parse_jsonl`.
         """
-        records: List[Dict[str, object]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        lines = text.split("\n")
-        if lines and lines[-1]:
-            # No trailing newline: the final line's append never finished.
-            # A record only exists once its newline landed — even if the
-            # truncation happens to leave parseable JSON.
-            lines.pop()
-        for line in lines:
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue
-        return records
+        from repro.store.io import parse_jsonl  # lazily, as in __init__
+
+        with open(path, "rb") as fh:
+            return parse_jsonl(fh.read())
 
     @staticmethod
     def replay(path: str) -> Dict[str, CellHistory]:
@@ -1305,6 +1285,11 @@ def run_campaign(
     for seq, cell in enumerate(cells):
         key = cell.key()
         hist = histories.get(key)
+        if hist is None and histories:
+            # Schema-v2 ledgers keyed each cell by a spec that named its kernel.
+            hist = next(
+                (histories[k] for k in cell.legacy_keys() if k in histories), None
+            )
         if hist is not None and hist.terminal:
             if policy.recheck and hist.status == "done":
                 golden[key] = hist.fingerprint

@@ -7,9 +7,9 @@ normalization conventions — returning an :class:`ExperimentResult` whose
 paper's Itanium 2 testbed; the *shapes* (orderings, approximate factors,
 crossovers) are the reproduction targets recorded in EXPERIMENTS.md.
 
-Resilience: every (benchmark x design point) cell runs through
-:func:`~repro.harness.runner.run_benchmark_resilient`, so one deadlocking or
-runaway cell cannot abort an exhibit.  Failed cells render as the
+Resilience: every cell runs through the campaign layer's
+:func:`~repro.harness.campaign.run_cells`, so one deadlocking or runaway
+cell cannot abort an exhibit.  Failed cells render as the
 :data:`GAP` marker in tables, are excluded from geomeans, and surface as
 structured :class:`~repro.harness.runner.FailedRun` records (post-mortem
 attached) under ``result.failures`` / ``data["failures"]``.
@@ -34,12 +34,8 @@ from repro.harness.reporting import (
     normalized_series,
     with_geomean,
 )
-from repro.harness.runner import (
-    FailedRun,
-    RunOutcome,
-    run_benchmark_resilient,
-)
-from repro.sim.config import MachineConfig, baseline_config
+from repro.harness.runner import FailedRun, RunOutcome
+from repro.sim.config import baseline_config
 from repro.sim.stats import geomean
 from repro.workloads.suite import BENCHMARK_ORDER, BENCHMARKS
 
@@ -92,11 +88,9 @@ def sweep(
     design_points: Iterable[str],
     trip_count: Optional[int] = None,
     scale: float = 1.0,
-    config_for=None,
     overrides: Optional[Dict[str, int]] = None,
     fault_plan_for=None,
     jobs: int = 1,
-    kernel: str = "reference",
 ) -> Dict[str, Dict[str, RunOutcome]]:
     """Run a (benchmark x design point) grid, isolating per-cell failures.
 
@@ -107,46 +101,20 @@ def sweep(
             scaled by ``scale``).
         scale: Multiplier on the per-benchmark defaults when ``trip_count``
             is None.
-        config_for: Optional ``(benchmark, point) -> Optional[MachineConfig]``
-            hook supplying a custom config per cell; returning None uses the
-            design point's own config.  Serial-only: configs are closures
-            over live objects, so this hook cannot cross the worker-pool
-            process boundary — use ``overrides`` / ``fault_plan_for`` with
-            ``jobs > 1``.
         overrides: Declarative ``{knob: value}`` config deltas (see
             :data:`repro.core.design_points.OVERRIDE_KNOBS`) applied to
-            every cell; works with any ``jobs``.
+            every cell.
         fault_plan_for: Optional ``(benchmark, point) -> Optional[FaultPlan]``
             hook attaching a seeded fault plan per cell; plans are plain
             data, so this works with any ``jobs``.
         jobs: ``1`` runs the serial in-process loop (the default fallback);
             ``> 1`` dispatches the grid through the campaign runner's
             worker pool.
-        kernel: Simulation kernel every cell runs under
-            (:mod:`repro.sim.kernel`); fingerprint-identical across
-            kernels, so exhibits are kernel-invariant by construction.
 
     Returns a nested dict ``grid[benchmark][point]`` of
     :class:`~repro.harness.runner.RunOutcome`: failing cells become
     :class:`FailedRun` records and the rest of the grid still completes.
     """
-    if config_for is not None:
-        if jobs > 1:
-            raise ValueError(
-                "config_for is a live-object hook and cannot cross the "
-                "worker-pool boundary; express the cell deltas as "
-                "overrides=/fault_plan_for= to use jobs > 1"
-            )
-        grid: Dict[str, Dict[str, RunOutcome]] = {}
-        for bench in benchmarks:
-            grid[bench] = {}
-            trips = trip_count if trip_count is not None else _trips(bench, scale)
-            for name in design_points:
-                grid[bench][name] = run_benchmark_resilient(
-                    bench, name, trips, config=config_for(bench, name), kernel=kernel
-                )
-        return grid
-
     layout: List[tuple] = []
     cells: List[CampaignCell] = []
     for bench in benchmarks:
@@ -160,12 +128,11 @@ def sweep(
                 fault_plan=(
                     fault_plan_for(bench, name) if fault_plan_for is not None else None
                 ),
-                kernel=kernel,
             )
             layout.append((bench, name, cell.key()))
             cells.append(cell)
     outcomes = run_cells(cells, jobs=jobs)
-    grid = {}
+    grid: Dict[str, Dict[str, RunOutcome]] = {}
     for bench, name, key in layout:
         grid.setdefault(bench, {})[name] = outcomes[key]
     return grid
@@ -203,12 +170,8 @@ def _design_point_grid(
     scale: float,
     overrides: Optional[Dict[str, int]] = None,
     jobs: int = 1,
-    kernel: str = "reference",
 ) -> Dict[str, Dict[str, RunOutcome]]:
-    return sweep(
-        BENCHMARK_ORDER, points, scale=scale, overrides=overrides, jobs=jobs,
-        kernel=kernel,
-    )
+    return sweep(BENCHMARK_ORDER, points, scale=scale, overrides=overrides, jobs=jobs)
 
 
 # ----------------------------------------------------------------------
@@ -252,7 +215,7 @@ def table2() -> ExperimentResult:
 # ----------------------------------------------------------------------
 
 
-def figure6(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure6(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 6: HEAVYWT at 1- vs 10-cycle transit, 32- vs 64-entry queues.
 
     Paper shape: the 1-cycle and 10-cycle bars are nearly equal for all
@@ -276,7 +239,6 @@ def figure6(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
                 design_point="HEAVYWT",
                 trip_count=_trips(bench, scale),
                 overrides=dict(ov),
-                kernel=kernel,
             )
             layout.append((bench, label, cell.key()))
             cells.append(cell)
@@ -331,11 +293,8 @@ def _breakdown_figure(
     thread: str = "producer",
     baseline_point: Optional[str] = None,
     jobs: int = 1,
-    kernel: str = "reference",
 ) -> ExperimentResult:
-    grid = _design_point_grid(
-        points, scale, overrides=overrides, jobs=jobs, kernel=kernel
-    )
+    grid = _design_point_grid(points, scale, overrides=overrides, jobs=jobs)
     baseline_point = baseline_point or points[0]
     failures = _grid_failures(grid)
     normalized: Dict[str, Dict[str, Optional[float]]] = {}
@@ -379,7 +338,7 @@ def _breakdown_figure(
     )
 
 
-def figure7(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure7(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 7: normalized execution times for each design point.
 
     Paper shape: HEAVYWT best everywhere; SYNCOPTI trails it closely
@@ -393,11 +352,10 @@ def figure7(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
         list(FIGURE7_ORDER),
         scale,
         jobs=jobs,
-        kernel=kernel,
     )
 
 
-def figure10(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure10(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 10: 4-CPU-cycle bus latency sensitivity.
 
     Paper shape: tight loops (adpcmdec, wc, epicdec) hurt most; even larger
@@ -411,11 +369,10 @@ def figure10(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
         scale,
         overrides={"bus_latency": 4, "transit_delay": 4},
         jobs=jobs,
-        kernel=kernel,
     )
 
 
-def figure11(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure11(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 11: 128-byte-wide bus at 4-cycle latency.
 
     Paper shape: the wide bus (one beat per line) removes the arbitration
@@ -429,7 +386,6 @@ def figure11(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
         scale,
         overrides={"bus_latency": 4, "bus_width": 128, "transit_delay": 4},
         jobs=jobs,
-        kernel=kernel,
     )
 
 
@@ -438,7 +394,7 @@ def figure11(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
 # ----------------------------------------------------------------------
 
 
-def figure8(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure8(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 8: dynamic comm-to-application instruction ratios.
 
     Paper shape: with produce/consume instructions, one communication per
@@ -450,7 +406,6 @@ def figure8(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
             benchmark=bench,
             design_point="HEAVYWT",
             trip_count=_trips(bench, scale),
-            kernel=kernel,
         )
         for bench in BENCHMARK_ORDER
     }
@@ -506,7 +461,7 @@ def figure8(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
 # ----------------------------------------------------------------------
 
 
-def figure9(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure9(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 9: loop speedup of HEAVYWT over single-threaded execution.
 
     Paper shape: all benchmarks at or above 1.0, geomean ~1.29x — meaning
@@ -517,11 +472,9 @@ def figure9(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
     for bench in BENCHMARK_ORDER:
         trips = _trips(bench, scale)
         mt_cells[bench] = CampaignCell(
-            benchmark=bench, design_point="HEAVYWT", trip_count=trips, kernel=kernel
+            benchmark=bench, design_point="HEAVYWT", trip_count=trips
         )
-        st_cells[bench] = CampaignCell(
-            benchmark=bench, kind="single", trip_count=trips, kernel=kernel
-        )
+        st_cells[bench] = CampaignCell(benchmark=bench, kind="single", trip_count=trips)
     outcomes = run_cells(
         list(mt_cells.values()) + list(st_cells.values()), jobs=jobs
     )
@@ -563,7 +516,7 @@ def figure9(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Exp
 # ----------------------------------------------------------------------
 
 
-def figure12(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def figure12(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Figure 12: stream cache and queue size effects on SYNCOPTI.
 
     Paper shape: Q64 reduces producer stalls, SC cuts consume-to-use
@@ -571,7 +524,7 @@ def figure12(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
     EXISTING/MEMOPTI — at ~1% of the dedicated store's cost.
     """
     points = list(FIGURE12_ORDER)
-    grid = _design_point_grid(points, scale, jobs=jobs, kernel=kernel)
+    grid = _design_point_grid(points, scale, jobs=jobs)
     failures = _grid_failures(grid)
     normalized: Dict[str, Dict[str, Optional[float]]] = {}
     producer_bars: Dict[str, Mapping[str, float]] = {}
@@ -624,7 +577,7 @@ def figure12(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> Ex
     )
 
 
-def pipeline_scaling(scale: float = 1.0, jobs: int = 1, kernel: str = "reference") -> ExperimentResult:
+def pipeline_scaling(scale: float = 1.0, jobs: int = 1) -> ExperimentResult:
     """Scalability study: K-stage DSWP pipelines on K-core machines.
 
     Sweeps stage count over the four design points and reports speedup,
@@ -636,7 +589,7 @@ def pipeline_scaling(scale: float = 1.0, jobs: int = 1, kernel: str = "reference
     # ExperimentResult, so a top-level import here would cycle.
     from repro.pipeline.scaling import pipeline_scaling as _pipeline_scaling
 
-    return _pipeline_scaling(scale, jobs=jobs, kernel=kernel)
+    return _pipeline_scaling(scale, jobs=jobs)
 
 
 #: All exhibits, in paper order (the scalability study extends the paper).
@@ -654,9 +607,7 @@ ALL_EXPERIMENTS = {
 }
 
 
-def run_all(
-    scale: float = 1.0, jobs: int = 1, kernel: str = "reference"
-) -> List[ExperimentResult]:
+def run_all(scale: float = 1.0, jobs: int = 1) -> List[ExperimentResult]:
     """Regenerate every exhibit (tables take no scale).
 
     ``jobs > 1`` runs each exhibit's grid on the campaign runner's worker
@@ -667,5 +618,5 @@ def run_all(
         if name.startswith("table"):
             results.append(fn())
         else:
-            results.append(fn(scale, jobs=jobs, kernel=kernel))
+            results.append(fn(scale, jobs=jobs))
     return results

@@ -162,27 +162,19 @@ class EventLog:
 def read_events(path: str, fs: Optional[object] = None) -> List[Dict[str, object]]:
     """Read every well-formed event from a JSONL obs log.
 
-    Torn tails and garbage lines are skipped (same tolerance as the
-    campaign ledger): a crash mid-append must not make the log
-    unreadable.  Events are returned in ``(t, pid, seq)`` order so
-    interleaved multi-process appends come back as one timeline.
+    Torn tails and garbage lines are skipped by the campaign ledger's
+    parser (:func:`repro.store.io.parse_jsonl`): a crash mid-append must
+    not make the log unreadable.  Events are returned in ``(t, pid, seq)``
+    order so interleaved multi-process appends come back as one timeline.
     """
+    from repro.store.io import parse_jsonl
+
     resolved = _resolve_fs(fs)
     try:
         raw = resolved.read_bytes(os.fspath(path))
     except (FileNotFoundError, OSError):
         return []
-    events: List[Dict[str, object]] = []
-    for line in raw.split(b"\n"):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(record, dict) and "event" in record:
-            events.append(record)
+    events = [record for record in parse_jsonl(raw) if "event" in record]
     events.sort(key=lambda r: (r.get("t", 0.0), r.get("pid", 0), r.get("seq", 0)))
     return events
 

@@ -93,7 +93,6 @@ def pipeline_scaling(
     stage_counts: Iterable[int] = STAGE_COUNTS,
     design_points: Iterable[str] = SCALING_POINTS,
     jobs: int = 1,
-    kernel: str = "reference",
 ):
     """Run the stage-count sweep and render the scalability tables.
 
@@ -107,8 +106,6 @@ def pipeline_scaling(
             dispatches the grid through the campaign runner's worker pool.
             Either way each cell runs the same executor, so the study's
             numbers are identical.
-        kernel: Simulation kernel for every cell (:mod:`repro.sim.kernel`);
-            fingerprint-identical across kernels, host speed only.
 
     Returns an :class:`~repro.harness.experiments.ExperimentResult` whose
     ``data`` carries ``speedup`` / ``geomean_speedup`` / ``comm_op_delay`` /
@@ -161,9 +158,7 @@ def pipeline_scaling(
                     bus_util[point][bench][k] = None
 
     single_cells = {
-        bench: CampaignCell(
-            benchmark=bench, kind="single", trip_count=trips[bench], kernel=kernel
-        )
+        bench: CampaignCell(benchmark=bench, kind="single", trip_count=trips[bench])
         for bench in benchmarks
     }
     pipe_cells: Dict[Tuple[str, int, str], CampaignCell] = {
@@ -173,7 +168,6 @@ def pipeline_scaling(
             kind="pipeline",
             stages=k,
             trip_count=trips[bench],
-            kernel=kernel,
         )
         for bench in benchmarks
         for k in stage_counts

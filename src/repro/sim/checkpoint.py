@@ -66,8 +66,7 @@ from typing import Callable, List, Optional
 
 import time as _time
 
-from repro.sim.cosim import CoreRunner, Scheduler, _State
-from repro.sim.kernel import create_kernel
+from repro.sim.kernel.base import CoreRunner, SimKernel, _State, create_kernel
 from repro.sim.stats import RunStats
 
 __all__ = [
@@ -121,7 +120,7 @@ class SnapshotCorruptError(SnapshotError):
 class PreemptionRequested(Exception):
     """A graceful preemption completed: the run checkpointed and unwound.
 
-    Not a :class:`~repro.sim.cosim.SimulationError` — the simulation is
+    Not a :class:`~repro.sim.kernel.SimulationError` — the simulation is
     healthy; the *host* asked it to stop.  Carries everything a worker needs
     to report a clean hand-off.
     """
@@ -394,7 +393,7 @@ def recover_snapshot(path: str, fs=None) -> Optional[RecoveredSnapshot]:
 # ----------------------------------------------------------------------
 
 
-def _progress_front(scheduler: Scheduler) -> float:
+def _progress_front(scheduler: SimKernel) -> float:
     """Min local time over live runners — the conservative progress bound."""
     live = [r.time for r in scheduler.runners if r.state is not _State.DONE]
     if not live:
@@ -402,7 +401,7 @@ def _progress_front(scheduler: Scheduler) -> float:
     return min(live)
 
 
-def capture_snapshot(machine, program, scheduler: Scheduler) -> MachineSnapshot:
+def capture_snapshot(machine, program, scheduler: SimKernel) -> MachineSnapshot:
     """Build a :class:`MachineSnapshot` from a machine at a global safe point.
 
     The caller must have verified safety (every live runner suspended at an
@@ -519,7 +518,7 @@ class Checkpointer:
 
     # -- scheduler hook -------------------------------------------------
 
-    def _all_safe(self, scheduler: Scheduler) -> bool:
+    def _all_safe(self, scheduler: SimKernel) -> bool:
         cores = self._machine.cores
         for r in scheduler.runners:
             if r.state is _State.DONE:
@@ -528,7 +527,7 @@ class Checkpointer:
                 return False
         return True
 
-    def on_step(self, scheduler: Scheduler) -> None:
+    def on_step(self, scheduler: SimKernel) -> None:
         """Evaluate one checkpoint opportunity (after a scheduler step)."""
         front = _progress_front(scheduler)
         if not self._preempt and front < self._next:

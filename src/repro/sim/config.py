@@ -214,12 +214,12 @@ class MachineConfig:
     #: is ever constructed and every instrumentation site reduces to a single
     #: ``is None`` branch — the zero-overhead contract.
     trace: Optional[TraceConfig] = None
-    #: Simulation kernel (stepping engine) name: ``"reference"`` (the
-    #: original min-timestamp loop, the differential baseline) or ``"event"``
-    #: (event-driven fast path).  Kernels are bit-identical in simulated
+    #: Simulation kernel (stepping engine) name: ``"event"``, the product
+    #: kernel, or ``"reference"``, the original min-timestamp loop kept as
+    #: the differential oracle.  Kernels are bit-identical in simulated
     #: outcome — RunStats fingerprints and trace streams match — so this
     #: knob only trades host speed; see :mod:`repro.sim.kernel`.
-    kernel: str = "reference"
+    kernel: str = "event"
 
     def validate(self) -> "MachineConfig":
         """Check invariants; returns self so it chains after construction."""

@@ -1,6 +1,6 @@
 """Structured post-mortems for deadlocked or runaway co-simulations.
 
-When the :class:`~repro.sim.cosim.Scheduler` finds every live core blocked
+When a :class:`~repro.sim.kernel.SimKernel` finds every live core blocked
 with no satisfiable predicate and no deadline (deadlock), or blows through
 its step budget (runaway), a bare exception message is useless for
 diagnosis: the interesting state — which cores were blocked since when,
@@ -8,11 +8,11 @@ which queue's produce/consume counts diverged, which injected faults were
 active — lives in the machine, not the scheduler.
 
 This module defines the machine-readable report the scheduler attaches to
-:class:`~repro.sim.cosim.SimulationError` (as ``exc.post_mortem``) and
+:class:`~repro.sim.kernel.SimulationError` (as ``exc.post_mortem``) and
 renders into the exception message.  The scheduler owns the per-core half
 (:class:`CoreDump`); the :class:`~repro.sim.machine.Machine` supplies the
 per-channel half (:class:`ChannelDump`) and any fault-injection records via
-a context probe, so ``cosim`` stays decoupled from queues and faults.
+a context probe, so the kernels stay decoupled from queues and faults.
 """
 
 from __future__ import annotations

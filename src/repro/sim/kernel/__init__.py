@@ -8,14 +8,16 @@ Public surface:
 * :func:`~repro.sim.kernel.base.create_kernel` /
   :func:`~repro.sim.kernel.base.available_kernels` /
   :func:`~repro.sim.kernel.base.kernel_class` — the registry.
-* :class:`~repro.sim.kernel.reference.ReferenceKernel` (``"reference"``) —
-  the original min-timestamp loop, the differential baseline.
 * :class:`~repro.sim.kernel.event.EventKernel` (``"event"``) — the
-  event-driven fast path (wakeup heap + indexed bus calendar).
+  product kernel: event-driven (wakeup heap + indexed bus calendar), the
+  default of every entry point.
+* :class:`~repro.sim.kernel.reference.ReferenceKernel` (``"reference"``) —
+  the original min-timestamp loop, kept as the differential oracle.
 
-Pick one with ``MachineConfig(kernel=...)``, ``Machine.run(kernel=...)``,
-or ``python -m repro ... --kernel event``; see DESIGN.md §11 for the
-differential guarantee kernels must uphold.
+Entry points above :class:`~repro.sim.machine.Machine` take no kernel
+argument; the oracle is selected only with ``MachineConfig(kernel=...)``,
+``Machine.run(kernel=...)`` or ``resume_run(kernel=...)``.  See DESIGN.md
+§11 for the differential guarantee kernels must uphold.
 """
 
 from repro.sim.kernel.base import (

@@ -13,16 +13,29 @@ checkpoint subsystem:
 * bit-identical :class:`~repro.sim.stats.RunStats` fingerprints and trace
   streams regardless of which kernel stepped the run.
 
+**Yield protocol** (the producer side is the core/mechanism code):
+
+* ``("time", t)`` — heartbeat: the core's local clock reached ``t``.
+* ``("block", predicate, deadline)`` — the core cannot proceed until
+  ``predicate()`` (a closure over shared channel state) holds.  The kernel
+  resumes the generator with ``"ok"`` once it does, or with ``"timeout"``
+  when ``deadline`` (a simulated time, or ``None``) passes first — used by
+  SYNCOPTI's partial-line timeout.
+
+A generator finishing (``StopIteration``) marks its core done.
+
 Two kernels are registered:
 
+* ``"event"`` (:mod:`repro.sim.kernel.event`) — the product kernel and the
+  default everywhere: a heap of next-wakeup times plus incremental
+  runnable/blocked book-keeping at the stepping level, and an
+  event-indexed reservation calendar installed into the shared bus so idle
+  spans are skipped instead of walked (:mod:`repro.sim.kernel.timeline`).
 * ``"reference"`` (:mod:`repro.sim.kernel.reference`) — the original
-  conservative min-timestamp loop, kept byte-for-byte as the trusted
-  baseline every other kernel is differentially tested against.
-* ``"event"`` (:mod:`repro.sim.kernel.event`) — an event-driven fast path:
-  a heap of next-wakeup times plus incremental runnable/blocked
-  book-keeping at the stepping level, and an event-indexed reservation
-  calendar installed into the shared bus so idle spans are skipped instead
-  of walked (:mod:`repro.sim.kernel.timeline`).
+  conservative min-timestamp loop, kept byte-for-byte as the oracle the
+  event kernel is differentially tested against.  Only
+  ``MachineConfig.kernel``, ``Machine.run(kernel=)`` and
+  ``resume_run(kernel=)`` select it.
 
 **Equivalence contract.**  Kernels may differ only in *host* cost.  They
 must issue the same sequence of ``generator.send`` calls with the same

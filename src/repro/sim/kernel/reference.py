@@ -1,8 +1,8 @@
 """The ``reference`` kernel: the original conservative min-timestamp loop.
 
-This is the trusted baseline — the stepping loop is kept exactly as it
-shipped in ``repro.sim.cosim.Scheduler`` (which now aliases this class), and
-every other kernel is differentially tested against it.  Per iteration it
+This is the test oracle — the stepping loop is kept exactly as the seed
+shipped it, and the ``event`` product kernel is differentially tested
+against it.  Per iteration it
 re-scans all runners for wakeable predicates, rebuilds the runnable set, and
 takes a linear ``min`` over it; the cost is O(cores) per step, which is fine
 for the dual-core figure reproduction and intentionally left untouched.

@@ -116,7 +116,7 @@ class Machine:
 
         ``wall_clock_budget`` bounds the *host* seconds the run may consume
         (None = unbounded): a run that outlives it raises
-        :class:`~repro.sim.cosim.WallClockExceededError` with a full
+        :class:`~repro.sim.kernel.WallClockExceededError` with a full
         post-mortem attached — the campaign watchdog's in-process layer.
 
         ``checkpoint`` takes a :class:`~repro.sim.checkpoint.Checkpointer`
@@ -126,7 +126,8 @@ class Machine:
         stats and traces are identical either way.
 
         ``kernel`` names the stepping engine (:mod:`repro.sim.kernel`);
-        ``None`` uses ``config.kernel``.  Kernels are bit-identical in
+        ``None`` uses ``config.kernel`` (``"event"`` by default; tests pass
+        ``"reference"`` to run the oracle).  Kernels are bit-identical in
         simulated outcome — same fingerprint, same trace stream — so the
         choice only affects ``RunStats.host_seconds``.
         """
@@ -152,9 +153,10 @@ class Machine:
         ]
         if checkpoint is not None:
             checkpoint.attach(self, program)
+        kernel = kernel if kernel is not None else self.config.kernel
         started = time.perf_counter()
         engine = create_kernel(
-            kernel if kernel is not None else self.config.kernel,
+            kernel,
             generators,
             max_steps=max_steps,
             context_probe=self._forensics_probe,
@@ -171,9 +173,7 @@ class Machine:
         )
         # Host-side throughput observation (repro.obs): once per run,
         # outside the stepping loop, no-op unless obs is configured.
-        observe_run(
-            kernel if kernel is not None else self.config.kernel, stats
-        )
+        observe_run(kernel, stats)
         return stats
 
 
@@ -184,7 +184,6 @@ def run_program(
     max_steps: int = 50_000_000,
     wall_clock_budget: Optional[float] = None,
     checkpoint=None,
-    kernel: Optional[str] = None,
 ) -> RunStats:
     """One-shot convenience: build a Machine, run, return stats."""
     return Machine(config, mechanism=mechanism).run(
@@ -192,5 +191,4 @@ def run_program(
         max_steps=max_steps,
         wall_clock_budget=wall_clock_budget,
         checkpoint=checkpoint,
-        kernel=kernel,
     )

@@ -20,22 +20,27 @@ substitutes a :class:`~repro.chaos.fs.ChaosFS` here to inject torn writes,
 dropped renames, lost fsyncs, ENOSPC/EIO bursts, short reads, clock skew,
 and deterministic process-kill at enumerated crash points.
 
-Nothing in this module imports anything above :mod:`os`/:mod:`time`, so it
+It also holds the one reader of the append-only JSONL files (the campaign
+ledger and the obs event log), :func:`parse_jsonl`.
+
+Nothing in this module imports anything above the standard library, so it
 is importable from any layer (store, harness, sim) without cycles.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
-from typing import Optional
+from typing import Dict, List, Optional
 
 __all__ = [
     "REAL_FS",
     "RealFS",
     "TMP_MARKER",
     "fsync_dir",
+    "parse_jsonl",
     "read_bytes",
     "resolve_fs",
     "write_atomic",
@@ -170,3 +175,27 @@ def fsync_dir(dirname: str, fs: Optional[object] = None) -> None:
 def read_bytes(path: str, fs: Optional[object] = None) -> bytes:
     """Facade-aware whole-file read (the short-read injection point)."""
     return resolve_fs(fs).read_bytes(path)
+
+
+def parse_jsonl(raw: bytes) -> List[Dict[str, object]]:
+    """The intact records of an append-only JSONL file, in file order.
+
+    A record exists only once its newline has landed: a final line without
+    one is a torn append and is dropped, even if the truncation happens to
+    leave parseable JSON.  Blank lines, undecodable fragments (an append
+    that hit a partial write and was retried on its own line) and values
+    that are not JSON objects are skipped.
+    """
+    lines = raw.split(b"\n")
+    lines.pop()  # empty after the final newline, else the torn tail
+    records: List[Dict[str, object]] = []
+    for line in lines:
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            continue
+        if isinstance(record, dict):
+            records.append(record)
+    return records

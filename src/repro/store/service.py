@@ -1,7 +1,7 @@
 """``repro serve`` — the async batch-query front end over the result store.
 
 The design-space study as a *service*: clients ask "what is the speedup
-of design point X on kernel Y at scale Z" and the server answers from the
+of design point X on benchmark Y at scale Z" and the server answers from the
 content-addressed store (:mod:`repro.store.store`), simulating only on a
 miss.  The shape follows the ordered-streaming systems the ROADMAP names
 (Prasaad et al.; FastFlow): a single async dispatch plane absorbs heavy
@@ -30,8 +30,8 @@ Endpoints::
 
 A query names a cell the way campaign grids do::
 
-    {"benchmark": "wc", "design_point": "HEAVYWT", "kernel": "event",
-     "scale": 0.5, "speedup": true}
+    {"benchmark": "wc", "design_point": "HEAVYWT", "scale": 0.5,
+     "speedup": true}
 
 ``trip_count`` pins the iteration count exactly; otherwise ``scale``
 multiplies the benchmark's experiment default — the same knob the CLI
@@ -63,7 +63,6 @@ from repro.store.store import (
     StoreEntry,
     StoreError,
     cell_digest,
-    result_from_entry,
 )
 
 __all__ = [
@@ -421,7 +420,6 @@ def _query_cell(query: Dict[str, object]) -> CampaignCell:
             trip_count=int(trip_count),
             overrides=dict(query.get("overrides") or {}),
             stages=query.get("stages"),
-            kernel=str(query.get("kernel", "reference")),
         ).validate()
     except (KeyError, TypeError, ValueError) as exc:
         raise QueryError(f"bad query spec: {exc}") from exc
@@ -573,7 +571,6 @@ class QueryService:
             "coalesced": coalesced,
             "cycles": entry.cycles,
             "fingerprint": entry.fingerprint,
-            "kernel": cell.kernel,
             "trip_count": cell.trip_count,
         }
         if query.get("speedup") and cell.kind != "single":
@@ -581,7 +578,6 @@ class QueryService:
                 benchmark=cell.benchmark,
                 kind="single",
                 trip_count=cell.trip_count,
-                kernel=cell.kernel,
             ).validate()
             base_entry, base_hit, base_coalesced = await self.resolve_cell(
                 baseline, cid=cid

@@ -1,7 +1,7 @@
 """Content-addressed result store: simulation-as-cache.
 
 The simulator is deterministic end to end — identical (program x design
-point x config x kernel x faults) cells reproduce
+point x config x faults) cells reproduce
 :meth:`~repro.sim.stats.RunStats.fingerprint` byte for byte — so a
 completed cell's statistics are a perfect memoization target: any
 campaign, query service, or ad-hoc script that names the same cell spec
@@ -9,10 +9,12 @@ can reuse the recorded result instead of re-simulating it.
 
 **Addressing.**  A cell's address is :func:`cell_digest`: SHA-256 over the
 canonical JSON of ``{"schema": SPEC_SCHEMA_VERSION, "spec": cell.spec()}``.
-The spec schema version is part of the preimage, so a future change to
-what a spec *means* (the way PR 7 added the ``kernel`` field) bumps every
+The spec schema version is part of the preimage, so a change to what a
+spec *means* (v2 added a ``kernel`` field, v3 dropped it) bumps every
 digest instead of silently colliding versioned specs — the store-level
-twin of the campaign ledger's ``schema`` stamp.
+twin of the campaign ledger's ``schema`` stamp.  The kernel is not in the
+spec: kernels are bit-identical, so a result computed under the
+``reference`` oracle is a hit for the ``event`` product kernel and back.
 
 **Entries.**  One :class:`StoreEntry` per digest holds the full spec, the
 run's fingerprint and cycles, the complete per-thread statistics payload

@@ -59,6 +59,35 @@ class TestStandardDrill:
         )
         assert any("lease-claim" in line for line in lines)
 
+    def test_trial_cleanup_is_timed(self, tmp_path, monkeypatch):
+        """Removing each trial's world is part of the drill's cost: a slow
+        ``rmtree`` shows in every trial's time and in the summed total."""
+        import shutil
+        import time
+
+        from repro.chaos import explorer
+
+        real_rmtree = shutil.rmtree
+
+        def slow_rmtree(path, *args, **kwargs):
+            time.sleep(0.05)
+            real_rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(explorer.shutil, "rmtree", slow_rmtree)
+        report = explore(
+            operations=[standard_operations()[2]],
+            root=str(tmp_path),
+            modes=("kill",),
+        )
+        (op,) = report.operations
+        trials = [t for t in op.timings if t.site >= 0]
+        assert len(trials) == op.trials > 0
+        for timing in trials:
+            assert timing.cleanup >= 0.05
+            assert timing.total == timing.seconds + timing.cleanup
+        assert op.trial_seconds >= 0.05 * op.trials
+        assert f"{op.trial_seconds:.1f}s in trials" in report.render()
+
 
 class TestMetaCapability:
     """The explorer must catch protocols that skip the durability steps."""

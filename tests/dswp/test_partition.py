@@ -1,5 +1,10 @@
 """Unit + property tests for the DSWP partitioner."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -242,3 +247,39 @@ class TestPartitionProperties:
         assert p.stage_weight(0) + p.stage_weight(1) == pytest.approx(
             loop.total_weight()
         )
+
+
+#: Prints mcf's SCCs and two-stage partition as JSON.
+_MCF_PARTITION = """
+import json
+from repro.dswp.graph import tarjan_scc
+from repro.dswp.partition import build_dependence_graph, partition_loop
+from repro.workloads.suite import build_loop
+
+loop = build_loop("mcf")
+part = partition_loop(loop)
+print(json.dumps({
+    "sccs": tarjan_scc(build_dependence_graph(loop)),
+    "stage_of": part.stage_of,
+    "crossing": list(part.crossing_values),
+}))
+"""
+
+
+def test_mcf_partition_is_independent_of_hash_seed():
+    """The dependence graph keeps successors in sets, whose order follows
+    PYTHONHASHSEED; the SCCs and the partition must not."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    results = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", _MCF_PARTITION],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout
+        results.append(json.loads(out))
+    assert results[0]["sccs"] == results[1]["sccs"]
+    assert results[0]["stage_of"] == results[1]["stage_of"]
+    assert results[0]["crossing"] == results[1]["crossing"]

@@ -13,7 +13,7 @@ import pytest
 
 from repro.faults import FaultKind, FaultPlan, FaultRule
 from repro.sim.config import baseline_config
-from repro.sim.cosim import DeadlockError
+from repro.sim.kernel import DeadlockError
 from tests.conftest import run_mechanism, simple_stream_program
 
 N_ITEMS = 64

@@ -37,7 +37,7 @@ from repro.harness.campaign import (
     run_campaign,
     run_cells,
 )
-from repro.harness.experiments import GAP, sweep
+from repro.harness.experiments import sweep
 from repro.harness.runner import FailedRun, RunResult, TimedOutRun
 
 # ----------------------------------------------------------------------
@@ -473,10 +473,15 @@ class TestDeclarativeSweepWedge:
             assert grid["wc"]["HEAVYWT"].ok
             assert grid["fir"]["EXISTING"].ok
             assert grid["fir"]["HEAVYWT"].ok
-
-    def test_config_for_hook_refuses_pool(self):
-        with pytest.raises(ValueError, match="jobs"):
-            sweep(["wc"], ["HEAVYWT"], trip_count=64, config_for=lambda b, p: None, jobs=2)
+            # The post-mortem names the blocked cores...
+            pm = bad.post_mortem
+            assert pm.blocked_cores() == [0, 1]
+            # ...and the stuck channel's produce/consume counts.
+            ch = pm.channels[0]
+            assert ch.queue_id == 0 and ch.wedged
+            assert ch.n_produced > 0 and ch.n_consumed > 0
+            assert ch.n_freed == 0
+            assert any("WEDGED" in s for s in ch.suspicions())
 
 
 # ----------------------------------------------------------------------

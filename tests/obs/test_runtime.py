@@ -93,10 +93,10 @@ def test_observe_run_feeds_registry_and_log(tmp_path):
         runtime.reset_cid(token)
     assert outcome.ok
     hist = state.registry.histogram(
-        "repro_sim_cycles_per_sec", kernel="reference"
+        "repro_sim_cycles_per_sec", kernel="event"
     )
     assert hist.snapshot()["count"] == 1
-    runs = state.registry.counter("repro_sim_runs_total", kernel="reference")
+    runs = state.registry.counter("repro_sim_runs_total", kernel="event")
     assert runs.value == 1
     kernel_events = [
         e for e in read_events(str(tmp_path / "obs.jsonl"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.cosim import DeadlockError, Scheduler, SimulationLimitError
+from repro.sim.kernel import DeadlockError, ReferenceKernel, SimulationLimitError
 from repro.sim.forensics import ChannelDump
 
 
@@ -14,7 +14,7 @@ def test_single_generator_runs_to_completion():
         yield ("time", 1.0)
         log.append("b")
 
-    Scheduler([gen()]).run()
+    ReferenceKernel([gen()]).run()
     assert log == ["a", "b"]
 
 
@@ -32,7 +32,7 @@ def test_min_timestamp_ordering():
             order.append(("slow", t))
             yield ("time", t)
 
-    Scheduler([fast(), slow()]).run()
+    ReferenceKernel([fast(), slow()]).run()
     # slow's first step happens at time 0 (both start at 0), but after its
     # clock hits 10 the fast core must be drained first.
     assert order.index(("fast", 3.0)) < order.index(("slow", 20.0))
@@ -52,7 +52,7 @@ def test_block_wakes_on_predicate():
         log.append(status)
         yield ("time", 7.0)
 
-    Scheduler([producer(), consumer()]).run()
+    ReferenceKernel([producer(), consumer()]).run()
     assert log == ["ok"]
 
 
@@ -63,7 +63,7 @@ def test_block_already_satisfied_resumes_immediately():
         status = yield ("block", lambda: True, None)
         log.append(status)
 
-    Scheduler([gen()]).run()
+    ReferenceKernel([gen()]).run()
     assert log == ["ok"]
 
 
@@ -74,7 +74,7 @@ def test_timeout_fires_when_all_blocked():
         status = yield ("block", lambda: False, 100.0)
         log.append(status)
 
-    Scheduler([waiter()]).run()
+    ReferenceKernel([waiter()]).run()
     assert log == ["timeout"]
 
 
@@ -91,7 +91,7 @@ def test_timeout_fires_when_peer_past_deadline():
         log.append(status)
         yield ("time", 51.0)
 
-    Scheduler([slow_producer(), consumer()]).run()
+    ReferenceKernel([slow_producer(), consumer()]).run()
     assert log == ["timeout"]
 
 
@@ -103,7 +103,7 @@ def test_deadlock_detected():
         yield ("block", lambda: False, None)
 
     with pytest.raises(DeadlockError):
-        Scheduler([a(), b()]).run()
+        ReferenceKernel([a(), b()]).run()
 
 
 def test_step_budget_enforced():
@@ -112,7 +112,7 @@ def test_step_budget_enforced():
             yield ("time", 0.0)
 
     with pytest.raises(SimulationLimitError):
-        Scheduler([runaway()], max_steps=100).run()
+        ReferenceKernel([runaway()], max_steps=100).run()
 
 
 def test_malformed_message_rejected():
@@ -120,7 +120,7 @@ def test_malformed_message_rejected():
         yield "not-a-tuple"
 
     with pytest.raises(TypeError):
-        Scheduler([bad()]).run()
+        ReferenceKernel([bad()]).run()
 
 
 def test_unknown_message_rejected():
@@ -128,7 +128,7 @@ def test_unknown_message_rejected():
         yield ("bogus", 1)
 
     with pytest.raises(ValueError):
-        Scheduler([bad()]).run()
+        ReferenceKernel([bad()]).run()
 
 
 def test_earliest_deadline_fires_first():
@@ -139,7 +139,7 @@ def test_earliest_deadline_fires_first():
         log.append((name, status))
 
     # Both blocked; deadline 10 must fire before deadline 20.
-    Scheduler([w("late", 20.0), w("early", 10.0)]).run()
+    ReferenceKernel([w("late", 20.0), w("early", 10.0)]).run()
     assert log[0][0] == "early"
 
 
@@ -153,7 +153,7 @@ def test_equal_deadlines_fire_lowest_core_id_first():
         status = yield ("block", lambda: len(log) >= 2, 10.0)
         log.append((name, status))
 
-    Scheduler([w("core0"), w("core1"), w("core2")]).run()
+    ReferenceKernel([w("core0"), w("core1"), w("core2")]).run()
     assert [name for name, _ in log] == ["core0", "core1", "core2"]
     assert all(status == "timeout" for _, status in log[:2])
 
@@ -173,7 +173,7 @@ def test_already_satisfied_predicate_skips_blocking():
         statuses.append((yield ("block", spy, None)))
         yield ("time", 1.0)
 
-    Scheduler([gen()]).run()
+    ReferenceKernel([gen()]).run()
     assert statuses == ["ok"]
     assert len(calls) == 1
 
@@ -187,7 +187,7 @@ def test_deadlock_post_mortem_contents():
         yield ("time", 1.0)
 
     with pytest.raises(DeadlockError) as excinfo:
-        Scheduler([blocked(), done(), blocked()]).run()
+        ReferenceKernel([blocked(), done(), blocked()]).run()
     pm = excinfo.value.post_mortem
     assert pm is not None
     assert pm.reason == "deadlock"
@@ -219,7 +219,7 @@ def test_limit_post_mortem_and_context_probe():
             yield ("time", 0.0)
 
     with pytest.raises(SimulationLimitError) as excinfo:
-        Scheduler([runaway()], max_steps=50, context_probe=probe).run()
+        ReferenceKernel([runaway()], max_steps=50, context_probe=probe).run()
     pm = excinfo.value.post_mortem
     assert pm.reason == "step-limit"
     assert pm.total_steps == 51
@@ -233,7 +233,7 @@ def test_deadlock_without_probe_has_empty_context():
         yield ("block", lambda: False, None)
 
     with pytest.raises(DeadlockError) as excinfo:
-        Scheduler([blocked()]).run()
+        ReferenceKernel([blocked()]).run()
     pm = excinfo.value.post_mortem
     assert pm.channels == [] and pm.injections == []
     assert "no queue channels" in pm.render()
@@ -257,5 +257,5 @@ def test_two_way_handshake():
             consumed.append(i)
             yield ("time", float(len(consumed)))
 
-    Scheduler([producer(), consumer()]).run()
+    ReferenceKernel([producer(), consumer()]).run()
     assert produced == consumed == [0, 1, 2, 3, 4]

@@ -43,6 +43,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.machine import Machine
 from repro.sim.stats import RunStats, ThreadStats
+from repro.store.store import cell_digest
 from repro.trace import TraceConfig
 from repro.workloads.suite import build_pipelined
 
@@ -113,6 +114,10 @@ class TestRegistry:
         cfg.validate()
         with pytest.raises(ValueError, match="kernel"):
             MachineConfig(kernel="warp-drive").validate()
+
+    def test_event_is_the_default_kernel(self):
+        assert MachineConfig().kernel == "event"
+        assert CampaignCell(benchmark="wc").kernel == "event"
 
     def test_config_describe_names_the_kernel(self):
         assert "event" in str(MachineConfig(kernel="event").describe())
@@ -376,7 +381,7 @@ class TestHostSeconds:
 
 
 # ----------------------------------------------------------------------
-# Campaign integration: kernel is part of the cell spec
+# Campaign integration: the kernel runs a cell but is not part of its spec
 # ----------------------------------------------------------------------
 
 
@@ -389,26 +394,24 @@ class TestCampaignKernel:
         assert clone.kernel == "event"
         assert clone.key() == cell.key()
 
-    def test_legacy_spec_defaults_to_reference(self):
-        import warnings
-
+    def test_legacy_specs_decode_to_the_same_cell(self):
         cell = CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=64)
-        spec = cell.spec()
-        spec.pop("kernel")
-        with warnings.catch_warnings():
-            # May fire the once-per-process legacy-spec upgrade warning
-            # (tests/harness/test_ledger_schema.py pins that behaviour).
-            warnings.simplefilter("ignore", UserWarning)
-            assert CampaignCell.from_spec(spec).kernel == "reference"
+        assert "kernel" not in cell.spec()
+        # Schema v2 specs named their kernel; v1 and v3 specs do not.
+        for kernel in ("reference", "event"):
+            legacy = CampaignCell.from_spec(dict(cell.spec(), kernel=kernel))
+            assert legacy.kernel == "event"
+            assert legacy.key() == cell.key()
 
-    def test_kernel_choice_changes_key_not_fingerprint(self):
+    def test_kernel_choice_changes_neither_key_nor_fingerprint(self):
         ref_cell = CampaignCell(
-            benchmark="wc", design_point="SYNCOPTI_SC", trip_count=64
+            benchmark="wc", design_point="SYNCOPTI_SC", trip_count=64, kernel="reference"
         )
         ev_cell = CampaignCell(
-            benchmark="wc", design_point="SYNCOPTI_SC", trip_count=64, kernel="event"
+            benchmark="wc", design_point="SYNCOPTI_SC", trip_count=64
         )
-        assert ref_cell.key() != ev_cell.key()
+        assert ref_cell.key() == ev_cell.key()
+        assert cell_digest(ref_cell) == cell_digest(ev_cell)
         ref_out = execute_cell(ref_cell)
         ev_out = execute_cell(ev_cell)
         assert ref_out.ok and ev_out.ok

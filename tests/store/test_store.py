@@ -63,7 +63,7 @@ def test_digest_is_stable_and_full_width():
         CampaignCell(benchmark="fir", design_point="HEAVYWT", trip_count=48),
         CampaignCell(benchmark="wc", design_point="EXISTING", trip_count=48),
         CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=96),
-        CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=48, kernel="event"),
+        CampaignCell(benchmark="wc", design_point="HEAVYWT", trip_count=48, stages=2),
         CampaignCell(
             benchmark="wc",
             design_point="HEAVYWT",
@@ -75,6 +75,20 @@ def test_digest_is_stable_and_full_width():
 )
 def test_digest_sensitive_to_every_spec_field(other):
     assert cell_digest(other) != cell_digest(CELL)
+
+
+def test_reference_result_is_a_hit_under_event(tmp_path):
+    store = ResultStore(str(tmp_path / "store"))
+    oracle = CampaignCell(
+        benchmark="wc", design_point="HEAVYWT", trip_count=48, kernel="reference"
+    )
+    published = execute_cell(oracle)
+    store.put(oracle, published)
+    assert CELL.kernel == "event"
+    entry = store.get(cell_digest(CELL))
+    assert entry is not None
+    assert entry.provenance["kernel"] == "reference"
+    assert result_from_entry(entry).fingerprint() == published.fingerprint()
 
 
 def test_digest_hashes_the_schema_version(monkeypatch):
